@@ -27,8 +27,8 @@ use f90y_cm2::runtime::shift_data;
 use f90y_cm2::{Cm2Error, ReduceOp};
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent as FlightEvent};
 use f90y_peac::costs::{body_cycles, MEM_CYCLES, VOP_CYCLES};
-use f90y_peac::isa::{Instr, Routine, VLEN};
-use f90y_peac::sim::{run_routine, NodeMemory};
+use f90y_peac::isa::{Routine, VLEN};
+use f90y_peac::threaded::{arg_slots, CompiledBlock};
 
 use crate::config::AccelConfig;
 
@@ -265,8 +265,8 @@ impl Accel {
         self.flight_phase(Actor::Host, "d2h", t0);
     }
 
-    /// Launch a kernel: stage the device arrays through the PEAC
-    /// simulator (the exact arithmetic every target executes), charge
+    /// Launch a kernel: run the PEAC body in place over the device
+    /// arrays (the exact arithmetic every target executes), charge
     /// launch overhead plus the per-unit loop cost.
     ///
     /// # Errors
@@ -294,29 +294,21 @@ impl Accel {
                 )));
             }
         }
-        // Stage exactly as the CM/2 does: an array passed through
-        // several pointer arguments shares one buffer, as it shares one
-        // region of device memory.
-        let mut mem = NodeMemory::new();
-        let mut base_of: HashMap<DeviceId, usize> = HashMap::new();
-        let mut bases = Vec::with_capacity(ptr_args.len());
-        for &id in ptr_args {
-            let base = match base_of.get(&id) {
-                Some(&b) => b,
-                None => {
-                    let data = self.array(id)?.data.clone();
-                    let b = mem.alloc(&data);
-                    base_of.insert(id, b);
-                    b
-                }
-            };
-            bases.push(base);
+        // Run in place exactly as the CM/2 does: an array passed
+        // through several pointer arguments is one buffer, as it is
+        // one region of device memory, and every buffer goes back
+        // whether the run succeeds or not.
+        let block = CompiledBlock::compile(routine);
+        let (unique, slots) = arg_slots(ptr_args);
+        let mut bufs: Vec<Vec<f64>> = unique
+            .iter()
+            .map(|&id| std::mem::take(&mut self.array_mut(id).expect("checked above").data))
+            .collect();
+        let run = block.run_in_place(&mut bufs, &slots, scalar_args, total);
+        for (&id, data) in unique.iter().zip(bufs) {
+            self.array_mut(id).expect("checked above").data = data;
         }
-        run_routine(routine, &mut mem, &bases, scalar_args, total)?;
-        for (&id, &base) in base_of.iter() {
-            let out = mem.read(base, total);
-            self.array_mut(id)?.data.copy_from_slice(&out);
-        }
+        let exec = run?;
 
         let iters = self.iterations(total);
         let nargs = (routine.nargs_ptr() + routine.nargs_scalar()) as u64;
@@ -328,8 +320,7 @@ impl Accel {
                 + self.config.costs.launch_per_arg_cycles * nargs;
             s.kernel_cycles += body_cycles(routine.body()) * iters;
             s.kernel_launches += 1;
-            let flops_per_elem: u64 = routine.body().iter().map(Instr::flops_per_elem).sum();
-            s.flops += flops_per_elem * total as u64;
+            s.flops += exec.flops;
         }
         self.flight_phase(Actor::Machine, &phase, t0);
         Ok(())
@@ -557,7 +548,7 @@ impl Machine for Accel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f90y_peac::isa::{Mem, Operand, VReg};
+    use f90y_peac::isa::{Instr, Mem, Operand, VReg};
 
     fn device() -> Accel {
         Accel::new(AccelConfig::new(16))

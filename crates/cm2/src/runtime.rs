@@ -10,7 +10,7 @@
 use f90y_obs::trace::Actor;
 use f90y_peac::costs::body_cycles;
 use f90y_peac::isa::Routine;
-use f90y_peac::sim::{run_routine, NodeMemory};
+use f90y_peac::threaded::{arg_slots, CompiledBlock};
 
 use crate::costs;
 use crate::machine::{ArrayId, Cm2};
@@ -31,8 +31,8 @@ impl Cm2 {
     /// Dispatch a PEAC routine elementwise over the given CM arrays.
     ///
     /// All pointer arguments must have equal element counts (they share
-    /// one shape and one blockwise layout). Every lane executes; results
-    /// land back in CM memory. Charges dispatch overhead plus the
+    /// one shape and one blockwise layout). Every element executes, in
+    /// place in CM memory. Charges dispatch overhead plus the
     /// per-node virtual-subgrid loop cost.
     ///
     /// # Errors
@@ -59,34 +59,26 @@ impl Cm2 {
                 )));
             }
         }
-        // Stage the blocks into a node memory image. Blockwise layout
-        // tiles the row-major element space contiguously, and the body
-        // is elementwise, so running the subgrid loop over the whole
-        // space computes exactly what the P lockstep nodes compute.
-        // An array passed through several pointer arguments (separate
-        // load and store streams of one variable) shares one buffer,
-        // just as it shares one region of real CM memory.
-        let mut mem = NodeMemory::new();
-        let mut base_of: std::collections::HashMap<ArrayId, usize> =
-            std::collections::HashMap::new();
-        let mut bases = Vec::with_capacity(ptr_args.len());
-        for &id in ptr_args {
-            let base = match base_of.get(&id) {
-                Some(&b) => b,
-                None => {
-                    let data = self.array(id)?.data.clone();
-                    let b = mem.alloc(&data);
-                    base_of.insert(id, b);
-                    b
-                }
-            };
-            bases.push(base);
+        // Run the body in place over the arrays' own storage.
+        // Blockwise layout tiles the row-major element space
+        // contiguously, and the body is elementwise, so running the
+        // subgrid loop over the whole space computes exactly what the P
+        // lockstep nodes compute. An array passed through several
+        // pointer arguments (separate load and store streams of one
+        // variable) is one buffer, just as it is one region of real CM
+        // memory. Every buffer goes back whether the run succeeds or
+        // not.
+        let block = CompiledBlock::compile(routine);
+        let (unique, slots) = arg_slots(ptr_args);
+        let mut bufs: Vec<Vec<f64>> = unique
+            .iter()
+            .map(|&id| std::mem::take(&mut self.array_mut(id).expect("checked above").data))
+            .collect();
+        let run = block.run_in_place(&mut bufs, &slots, scalar_args, total);
+        for (&id, data) in unique.iter().zip(bufs) {
+            self.array_mut(id).expect("checked above").data = data;
         }
-        run_routine(routine, &mut mem, &bases, scalar_args, total)?;
-        for (&id, &base) in base_of.iter() {
-            let out = mem.read(base, total);
-            self.array_mut(id)?.data.copy_from_slice(&out);
-        }
+        let exec = run?;
 
         // Time: per-node subgrid iterations at the configured
         // multipliers; flops: machine-wide over valid elements.
@@ -111,12 +103,7 @@ impl Cm2 {
                 .record_scaled(routine.body(), iters, compute);
         }
         self.overlap_pool = self.overlap_pool.saturating_add(compute);
-        let flops_per_elem: u64 = routine
-            .body()
-            .iter()
-            .map(f90y_peac::isa::Instr::flops_per_elem)
-            .sum();
-        self.stats.flops += flops_per_elem * total as u64;
+        self.stats.flops += exec.flops;
         self.stats.dispatches += 1;
         if self.trace.is_some() {
             use f90y_peac::isa::Instr;
@@ -144,7 +131,7 @@ impl Cm2 {
                 div,
                 lib,
                 nargs: routine.nargs_ptr() + routine.nargs_scalar(),
-                flops: flops_per_elem * total as u64,
+                flops: exec.flops,
             });
         }
         Ok(())

@@ -64,8 +64,7 @@ use f90y_cm2::runtime::{shift_data, ReduceOp};
 use f90y_cm2::Cm2Error;
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent};
 use f90y_peac::isa::Instr;
-use f90y_peac::sim::NodeMemory;
-use f90y_peac::threaded::CompiledBlock;
+use f90y_peac::threaded::{arg_slots, CompiledBlock};
 use f90y_peac::Routine;
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
@@ -671,57 +670,49 @@ impl MimdMachine {
             as f64
             / self.config.sparc_clock_hz;
 
-        // Every node runs the routine over its slab — concurrently on
-        // the host pool when `host_threads > 1`. The routine compiles
-        // once to threaded code and every worker shares the block; a
-        // node only reads the arrays and writes its own private
-        // memory, so the compute phase is embarrassingly parallel and
-        // the barrier merge below (node-index order, first error wins)
-        // makes the thread count unobservable. An array passed through
-        // several pointer arguments shares one node buffer, exactly as
-        // on the SIMD machine.
+        // Every node runs the routine in place over its own shards —
+        // concurrently on the host pool when `host_threads > 1`. The
+        // routine decodes once and every worker shares the block; each
+        // worker is handed the shard buffers of its own nodes, so the
+        // compute phase is embarrassingly parallel and the merge below
+        // (node-index order, first error wins) makes the thread count
+        // unobservable. An array passed through several pointer
+        // arguments is one node buffer, exactly as on the SIMD
+        // machine. Every shard goes back whether the run succeeds or
+        // not.
         let block = CompiledBlock::compile(routine);
         let beats = Self::beats_per_elem(routine);
-        let mut unique: Vec<MimdId> = Vec::new();
-        for &id in ptr_args {
-            if !unique.contains(&id) {
-                unique.push(id);
+        let (unique, slots) = arg_slots(ptr_args);
+        let mut node_bufs: Vec<Vec<Vec<f64>>> = vec![Vec::with_capacity(unique.len()); nodes];
+        for id in &unique {
+            let arr = self.arrays.get_mut(&id.0).expect("checked above");
+            for (bufs, shard) in node_bufs.iter_mut().zip(&mut arr.shards) {
+                bufs.push(std::mem::take(shard));
             }
         }
-        let arg_slots: Vec<usize> = ptr_args
-            .iter()
-            .map(|id| unique.iter().position(|u| u == id).expect("just inserted"))
-            .collect();
-        let arrays = &self.arrays;
         let vus_per_node = self.config.vus_per_node as f64;
         let vu_clock_hz = self.config.vu_clock_hz;
-        let results = pool::run_indexed(
+        let results = pool::map_mut(
             self.config.host_threads,
-            nodes,
-            |k| -> Result<(Vec<Vec<f64>>, f64), Cm2Error> {
+            &mut node_bufs,
+            |k, bufs| -> Result<f64, Cm2Error> {
                 let elems = map.rows_of(k) * inner;
                 if elems == 0 {
-                    return Ok((Vec::new(), 0.0));
+                    return Ok(0.0);
                 }
-                let mut mem = NodeMemory::new();
-                let bases: Vec<usize> = unique
-                    .iter()
-                    .map(|id| mem.alloc(&arrays.get(&id.0).expect("checked above").shards[k]))
-                    .collect();
-                let arg_bases: Vec<usize> = arg_slots.iter().map(|&s| bases[s]).collect();
-                block.run(&mut mem, &arg_bases, scalar_args, elems)?;
-                let outputs: Vec<Vec<f64>> = bases.iter().map(|&b| mem.read(b, elems)).collect();
-                Ok((outputs, beats * (elems as f64 / vus_per_node) / vu_clock_hz))
+                block.run_in_place(bufs, &slots, scalar_args, elems)?;
+                Ok(beats * (elems as f64 / vus_per_node) / vu_clock_hz)
             },
         );
-        let mut busy = vec![0.0; nodes];
-        for (k, result) in results.into_iter().enumerate() {
-            let (outputs, b) = result?;
-            busy[k] = b;
-            for (id, out) in unique.iter().zip(outputs) {
-                self.arrays.get_mut(&id.0).expect("checked above").shards[k].copy_from_slice(&out);
+        for (slot, id) in unique.iter().enumerate() {
+            let arr = self.arrays.get_mut(&id.0).expect("checked above");
+            for (shard, bufs) in arr.shards.iter_mut().zip(&mut node_bufs) {
+                *shard = std::mem::take(&mut bufs[slot]);
             }
         }
+        let busy = results
+            .into_iter()
+            .collect::<Result<Vec<f64>, Cm2Error>>()?;
         self.charge_compute(&busy);
 
         let flops_per_elem: u64 = routine.body().iter().map(Instr::flops_per_elem).sum();

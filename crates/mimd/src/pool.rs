@@ -5,9 +5,11 @@
 //! observable until the barrier merges the results. [`run_indexed`]
 //! exploits exactly that window — it maps a pure function over the node
 //! indices `0..n` on up to `host_threads` host workers and returns the
-//! results **in index order**, so the caller's merge loop is identical
-//! to the sequential one and every downstream artifact (finals,
-//! telemetry, trace digests) stays bit-identical at any thread count.
+//! results **in index order** ([`map_mut`] does the same over per-node
+//! items a worker may change, such as the node's own buffers), so the
+//! caller's merge loop is identical to the sequential one and every
+//! downstream artifact (finals, telemetry, trace digests) stays
+//! bit-identical at any thread count.
 //!
 //! Determinism comes from the structure, not from luck:
 //!
@@ -15,7 +17,8 @@
 //!   (`[w·n/workers, (w+1)·n/workers)`), carved out of the result
 //!   buffer with `split_at_mut` — no sharing, no locks, no atomics;
 //! * workers never touch shared mutable state; the closure gets an
-//!   index and returns a value;
+//!   index (and, under [`map_mut`], that index's own item) and returns
+//!   a value;
 //! * the scope joins every worker before results are read, and results
 //!   are consumed in index order regardless of which worker finished
 //!   first.
@@ -35,26 +38,45 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    map_mut(host_threads, &mut vec![(); n], |i, ()| f(i))
+}
+
+/// Map `f` over `items` with mutable access to each, computing on up
+/// to `host_threads` workers, and return the results in index order.
+///
+/// Each worker owns one contiguous chunk of `items` and the matching
+/// chunk of the results, both carved out with `split_at_mut`: a worker
+/// can change only its own items.
+pub fn map_mut<T, R, F>(host_threads: usize, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let n = items.len();
     if host_threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let workers = host_threads.min(n);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
 
     std::thread::scope(|scope| {
+        let mut rest_items = items;
         let mut rest: &mut [Option<R>] = &mut slots;
         let mut start = 0usize;
         for w in 0..workers {
             // Contiguous chunk [start, end): same partition shape the
             // row-slab ShardMap uses, so load skew stays bounded.
             let end = (w + 1) * n / workers;
+            let (items_chunk, items_tail) = rest_items.split_at_mut(end - start);
             let (chunk, tail) = rest.split_at_mut(end - start);
+            rest_items = items_tail;
             rest = tail;
             let f = &f;
             scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(f(start + offset));
+                for (offset, (item, slot)) in items_chunk.iter_mut().zip(chunk).enumerate() {
+                    *slot = Some(f(start + offset, item));
                 }
             });
             start = end;
@@ -92,6 +114,21 @@ mod tests {
                 .map(|x| x.to_bits())
                 .collect();
             assert_eq!(seq, par, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_mut_hands_each_worker_its_own_items() {
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<Vec<usize>> = (0..11).map(|i| vec![i]).collect();
+            let out = map_mut(threads, &mut items, |i, item| {
+                item.push(i * 10);
+                item.len()
+            });
+            assert_eq!(out, vec![2; 11], "threads={threads}");
+            for (i, item) in items.iter().enumerate() {
+                assert_eq!(item, &vec![i, i * 10], "threads={threads}");
+            }
         }
     }
 

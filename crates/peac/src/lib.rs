@@ -21,10 +21,10 @@
 //!   subgrid loop over real `f64` node memory, producing both numerical
 //!   results (for translation validation against the NIR evaluator) and
 //!   a deterministic cycle count (for the performance tables);
-//! * [`threaded`] — the threaded-code engine under it:
-//!   [`CompiledBlock`] pre-resolves a routine into a `Vec` of op
-//!   thunks, compiled once and shared (`Send + Sync`) across every
-//!   node of a dispatch;
+//! * [`threaded`] — the slab executor under it: [`CompiledBlock`]
+//!   decodes a routine into small pre-resolved ops and runs each op
+//!   over slabs of elements, in place over the caller's buffers; one
+//!   block is shared (`Send + Sync`) by every node of a dispatch;
 //! * [`profile`] — the opt-in opcode profiler: per-opcode hit/cycle
 //!   histograms whose sums reconcile with the simulator's and the
 //!   machine's cycle charges exactly.

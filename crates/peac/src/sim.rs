@@ -1,22 +1,20 @@
 //! The executing PEAC simulator.
 //!
 //! A routine runs its virtual subgrid loop over real node memory: every
-//! vector lane is computed, so translation validation can compare the
-//! bytes a compiled program produces against the NIR reference
-//! evaluator. Cycle accounting comes from [`crate::costs`] and is
-//! deterministic.
+//! element is computed, so translation validation can compare the bytes
+//! a compiled program produces against the NIR reference evaluator.
+//! Cycle accounting comes from [`crate::costs`] and is deterministic:
+//! the loop is charged `ceil(n/VLEN)` full four-wide beats, as on the
+//! real vector hardware, though only the `n` valid elements are
+//! computed and no buffer carries pad lanes.
 //!
-//! Arrays are allocated padded to a whole number of vectors; the last
-//! iteration computes the pad lanes too (harmlessly — each array has its
-//! own pad region, and IEEE arithmetic on garbage lanes cannot fault),
-//! exactly like real vector hardware running a full final beat.
-//!
-//! Execution itself lives in [`crate::threaded`]: the body compiles
-//! once into a [`CompiledBlock`] of pre-resolved op thunks and the
-//! loop runs those — [`run_routine`] keeps the historical one-shot
-//! API on top.
+//! Execution itself lives in [`crate::threaded`]: the body decodes into
+//! a [`CompiledBlock`] that runs op by op over slabs of elements, in
+//! place. [`run_routine`] and [`NodeMemory`] keep the one-shot,
+//! one-heap API on top: every pointer stream starts at its base in the
+//! node's heap.
 
-use crate::isa::{Routine, VLEN};
+use crate::isa::Routine;
 use crate::threaded::CompiledBlock;
 use crate::PeacError;
 
@@ -36,21 +34,18 @@ impl NodeMemory {
         NodeMemory { heap: Vec::new() }
     }
 
-    /// Allocate a buffer initialised from `data`, padded to a whole
-    /// number of vectors. Returns its base pointer.
+    /// Allocate a buffer initialised from `data`. Returns its base
+    /// pointer.
     pub fn alloc(&mut self, data: &[f64]) -> Ptr {
         let base = self.heap.len();
         self.heap.extend_from_slice(data);
-        let pad = (VLEN - data.len() % VLEN) % VLEN;
-        self.heap.extend(std::iter::repeat_n(0.0, pad));
         base
     }
 
-    /// Allocate an uninitialised (zeroed) buffer of `n` elements.
+    /// Allocate a zeroed buffer of `n` elements.
     pub fn alloc_zeroed(&mut self, n: usize) -> Ptr {
         let base = self.heap.len();
-        let padded = n.div_ceil(VLEN) * VLEN;
-        self.heap.extend(std::iter::repeat_n(0.0, padded));
+        self.heap.resize(base + n, 0.0);
         base
     }
 
@@ -86,7 +81,7 @@ pub struct ExecStats {
     pub iterations: u64,
     /// Node cycles consumed (deterministic, from the cost model).
     pub cycles: u64,
-    /// Floating-point operations over the *valid* (unpadded) elements.
+    /// Floating-point operations over the valid elements.
     pub flops: u64,
     /// Instructions executed (body length × iterations).
     pub instructions: u64,
@@ -105,18 +100,18 @@ impl ExecStats {
 /// Execute a routine's virtual subgrid loop over `n_elems` elements.
 ///
 /// `ptr_args` are base pointers (one per pointer argument), `scalar_args`
-/// fill the scalar registers. All pointer streams advance one vector per
-/// iteration.
+/// fill the scalar registers. Stream `p` covers `ptr_args[p]..+n_elems`.
 ///
-/// Since the threaded-code rework this is a thin wrapper: it compiles
-/// the routine to a [`CompiledBlock`] and runs it once. Callers that
-/// dispatch the same routine to many nodes should compile once with
-/// [`CompiledBlock::compile`] and share the block instead.
+/// A thin wrapper: it decodes the routine to a [`CompiledBlock`] and
+/// runs it once over the heap. Callers that dispatch the same routine
+/// to many nodes decode once with [`CompiledBlock::compile`] and share
+/// the block instead.
 ///
 /// # Errors
 ///
-/// Fails when arguments do not match the routine signature or a pointer
-/// stream runs off the heap.
+/// Fails, before anything is written, when arguments do not match the
+/// routine signature, a pointer stream runs off the heap, or two
+/// streams overlap at different bases while one of them is stored.
 pub fn run_routine(
     routine: &Routine,
     mem: &mut NodeMemory,

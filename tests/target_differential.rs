@@ -9,7 +9,12 @@
 //! bytes (inlined to keep this suite free of a serve dev-dependency),
 //! so equality below is exactly the equality `f90y-serve` clients see.
 
+use f90y_accel::{Accel, AccelConfig};
+use f90y_backend::Machine;
+use f90y_cm2::{Cm2, Cm2Config};
 use f90y_core::{workloads, Compiler, Pipeline, Target};
+use f90y_mimd::{MimdConfig, MimdMachine};
+use f90y_peac::isa::{Instr, Mem, Routine, VReg};
 
 fn f90y(src: &str) -> f90y_core::Executable {
     Compiler::new(Pipeline::F90y)
@@ -139,4 +144,108 @@ fn accel_costs_differ_even_when_answers_agree() {
     assert!(accel.stats.transfer_cycles > 0);
     assert!(accel.stats.h2d_bytes + accel.stats.d2h_bytes > 0);
     assert!(accel.elapsed_seconds > 0.0);
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn in_place_update_above_one_slab_matches_the_evaluator() {
+    // `a` is both a load stream and the store stream of one dispatch,
+    // over 33×31 = 1023 elements: several executor slabs and a ragged
+    // last one, at every node count's shard boundaries.
+    let exe = f90y(
+        "REAL a(33,31)\n\
+         FORALL (i=1:33, j=1:31) a(i,j) = MOD(i*j, 13) - 6.5\n\
+         DO step = 1, 3\n\
+           a = 3.0*a + 1.0\n\
+         END DO\n",
+    );
+    let mut ev = f90y_nir::eval::Evaluator::new();
+    ev.run(&exe.nir).expect("reference evaluator runs");
+    let want = bits(&ev.final_array_f64("a").expect("evaluator final"));
+    for nodes in [4usize, 16] {
+        // The host pool only exists on the CM/5; the single-image
+        // machines refuse a host thread count.
+        let sessions = [
+            exe.session(Target::Cm2 { nodes }),
+            exe.session(Target::Accel { nodes }),
+            exe.session(Target::Cm5Mimd { nodes }).host_threads(1),
+            exe.session(Target::Cm5Mimd { nodes }).host_threads(4),
+        ];
+        for (i, session) in sessions.into_iter().enumerate() {
+            let run = session.run().expect("runs");
+            assert_eq!(
+                bits(&run.finals().final_array("a").unwrap()),
+                want,
+                "session {i} at {nodes} nodes"
+            );
+        }
+    }
+}
+
+/// Dispatches that fail the signature or extent checks must leave every
+/// argument array as it was and the machine usable: an engine that
+/// lends its arrays to the executor has to put them back on failure.
+fn failed_dispatch_leaves_arrays_intact<M: Machine>(m: &mut M) {
+    let copy = Routine::new(
+        "copy",
+        2,
+        0,
+        vec![
+            Instr::Flodv {
+                src: Mem::arg(0),
+                dst: VReg(0),
+                overlapped: false,
+            },
+            Instr::Fstrv {
+                src: VReg(0),
+                dst: Mem::arg(1),
+                overlapped: false,
+            },
+        ],
+    )
+    .expect("valid routine");
+    let data = |seed: usize, n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| ((i * 7 + seed) % 23) as f64 - 11.0)
+            .collect()
+    };
+    let a = m.alloc_from(&[33, 31], data(1, 1023));
+    let b = m.alloc_from(&[33, 31], data(2, 1023));
+    let small = m.alloc_from(&[4], data(3, 4));
+    let failing: [(&[M::Id], &[f64]); 4] = [
+        (&[a, b, a], &[]),  // one pointer argument too many
+        (&[a], &[]),        // one too few
+        (&[a, b], &[1.0]),  // a scalar the routine does not take
+        (&[a, small], &[]), // extents disagree
+    ];
+    for (ptrs, scalars) in failing {
+        assert!(m.dispatch(&copy, ptrs, scalars).is_err(), "{ptrs:?}");
+        for (id, want) in [(a, data(1, 1023)), (b, data(2, 1023)), (small, data(3, 4))] {
+            assert!(m.read(id).unwrap() == want, "{id:?} changed after {ptrs:?}");
+        }
+    }
+    m.dispatch(&copy, &[a, b], &[])
+        .expect("later dispatches run");
+    assert!(m.read(b).unwrap() == data(1, 1023), "the copy ran");
+}
+
+#[test]
+fn failed_cm2_dispatch_leaves_arrays_intact() {
+    failed_dispatch_leaves_arrays_intact(&mut Cm2::new(Cm2Config::slicewise(16)));
+}
+
+#[test]
+fn failed_cm5_dispatch_leaves_arrays_intact() {
+    for threads in [1, 4] {
+        let config = MimdConfig::new(16).with_host_threads(threads);
+        failed_dispatch_leaves_arrays_intact(&mut MimdMachine::new(config));
+    }
+}
+
+#[test]
+fn failed_accel_dispatch_leaves_arrays_intact() {
+    failed_dispatch_leaves_arrays_intact(&mut Accel::new(AccelConfig::new(16)));
 }
